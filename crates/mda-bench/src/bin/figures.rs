@@ -5,13 +5,14 @@
 //! figures <experiment|all> [--scale tiny|scaled|paper] [--csv DIR]
 //!         [--jobs N] [--bench-timings]
 //! figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N]
+//!         [--only PATTERN]
 //!
 //! experiments: table1 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
 //!              ablation ext_tiling ext_multicore ext_energy
 //!              ext_reliability
 //!
 //! --csv DIR additionally writes every table-shaped figure as CSV files
-//! under DIR (for external plotting).
+//! under DIR (for external plotting), from the same run that printed it.
 //!
 //! --jobs N runs each experiment's simulation cells on N worker threads
 //! (default: the machine's cores, or the MDA_JOBS environment variable).
@@ -23,26 +24,21 @@
 //!
 //! --bench-sim measures steady-state simulator throughput (trace mem-ops
 //! per wall-clock second) for every design × kernel cell and writes
-//! BENCH_sim.json. --smoke shrinks it to tiny scale × 1 rep for CI.
+//! BENCH_sim.json. --smoke shrinks it to tiny scale × 1 rep for CI;
+//! --only PATTERN keeps the cells whose `design/kernel` label contains
+//! PATTERN.
 //! ```
 
-use mda_bench::experiments::{
-    ablation, ext_energy, ext_multicore, ext_reliability, ext_tiling, fig10, fig11, fig12, fig13, fig14, fig15,
-    fig16, fig17, table1,
-};
+use mda_bench::experiments::{experiment, Experiment, EXPERIMENTS};
 use mda_bench::{parallel, Scale};
 use std::time::Instant;
 
-const EXPERIMENTS: [&str; 14] = [
-    "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation",
-    "ext_tiling", "ext_multicore", "ext_energy", "ext_reliability",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!(
         "usage: figures <{}|all> [--scale tiny|scaled|paper] [--csv DIR] [--jobs N] [--bench-timings]\n\
-         \x20      figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N]",
-        EXPERIMENTS.join("|")
+         \x20      figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N] [--only PATTERN]",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -59,74 +55,6 @@ fn emit_csv(dir: &std::path::Path, name: &str, csv: &str) {
             std::process::exit(1);
         }
     }
-}
-
-fn run_csv(name: &str, scale: Scale, dir: &std::path::Path) {
-    match name {
-        "fig11" => {
-            let f = fig11::run(scale);
-            emit_csv(dir, "fig11_hit_rate", &f.hit_rate.to_csv());
-            emit_csv(dir, "fig11_fills", &f.fills.to_csv());
-        }
-        "fig12" => {
-            for (llc, fig) in fig12::run(scale) {
-                emit_csv(dir, &format!("fig12_llc_{}k", llc / 1024), &fig.to_csv());
-            }
-        }
-        "fig13" => emit_csv(dir, "fig13", &fig13::run(scale).to_csv()),
-        "fig14" => {
-            let f = fig14::run(scale);
-            emit_csv(dir, "fig14_llc_accesses", &f.llc_accesses.to_csv());
-            emit_csv(dir, "fig14_memory_bytes", &f.memory_bytes.to_csv());
-        }
-        "fig16" => emit_csv(dir, "fig16", &fig16::run(scale).to_csv()),
-        "fig17" => emit_csv(dir, "fig17", &fig17::run(scale).to_csv()),
-        "ablation" => {
-            emit_csv(dir, "ablation_layout", &ablation::layout_mismatch(scale).to_csv());
-            emit_csv(dir, "ablation_dense", &ablation::dense_fill(scale).to_csv());
-            emit_csv(dir, "ablation_subrow", &ablation::sub_row_buffers(scale).to_csv());
-            emit_csv(dir, "ablation_2p1l", &ablation::taxonomy_2p1l(scale).to_csv());
-        }
-        "ext_tiling" => emit_csv(dir, "ext_tiling", &ext_tiling::run(scale).to_csv()),
-        "ext_multicore" => emit_csv(dir, "ext_multicore", &ext_multicore::run(scale).to_csv()),
-        "ext_energy" => emit_csv(dir, "ext_energy", &ext_energy::run(scale).to_csv()),
-        "ext_reliability" => {
-            let f = ext_reliability::run(scale);
-            emit_csv(dir, "ext_reliability_cycles", &f.cycles.to_csv());
-            emit_csv(dir, "ext_reliability_retries", &f.retries.to_csv());
-            emit_csv(dir, "ext_reliability_corrected", &f.corrected.to_csv());
-        }
-        // table1/fig10/fig15 are not kernel×design tables.
-        _ => {}
-    }
-}
-
-fn run_one(name: &str, scale: Scale) -> f64 {
-    let t0 = Instant::now();
-    let out = match name {
-        "table1" => table1::render(scale),
-        "fig10" => fig10::render(scale),
-        "fig11" => fig11::render(scale),
-        "fig12" => fig12::render(scale),
-        "fig13" => fig13::run(scale).render(),
-        "fig14" => fig14::render(scale),
-        "fig15" => fig15::render(scale),
-        "fig16" => fig16::run(scale).render(),
-        "fig17" => fig17::run(scale).render(),
-        "ablation" => ablation::render(scale),
-        "ext_tiling" => ext_tiling::run(scale).render(),
-        "ext_multicore" => ext_multicore::run(scale).render(),
-        "ext_energy" => ext_energy::run(scale).render(),
-        "ext_reliability" => ext_reliability::render(scale),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            usage()
-        }
-    };
-    println!("{out}");
-    let seconds = t0.elapsed().as_secs_f64();
-    eprintln!("[{name} completed in {seconds:.1}s]\n");
-    seconds
 }
 
 fn main() {
@@ -208,9 +136,19 @@ fn main() {
     if targets.is_empty() {
         usage();
     }
-    if targets.iter().any(|t| t == "all") {
-        targets = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
+    let experiments: Vec<&Experiment> = if targets.iter().any(|t| t == "all") {
+        EXPERIMENTS.iter().collect()
+    } else {
+        targets
+            .iter()
+            .map(|t| {
+                experiment(t).unwrap_or_else(|| {
+                    eprintln!("unknown experiment '{t}'");
+                    usage()
+                })
+            })
+            .collect()
+    };
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
@@ -218,19 +156,26 @@ fn main() {
         }
     }
     eprintln!("scale: {scale}\n");
-    for t in &targets {
+    for e in experiments {
         parallel::take_cell_count();
-        let seconds = run_one(t, scale);
+        let t0 = Instant::now();
+        let out = (e.run)(scale);
+        println!("{}", out.text);
+        let seconds = t0.elapsed().as_secs_f64();
         let cells = parallel::take_cell_count();
+        eprintln!("[{} completed in {seconds:.1}s]\n", e.name);
         if let Some(entries) = &mut bench_entries {
             entries.push(format!(
-                "  {{\"experiment\": \"{t}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
+                "  {{\"experiment\": \"{}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
                  \"cells\": {cells}, \"jobs\": {}}}",
+                e.name,
                 parallel::jobs()
             ));
         }
         if let Some(dir) = &csv_dir {
-            run_csv(t, scale, dir);
+            for (name, csv) in &out.csvs {
+                emit_csv(dir, name, csv);
+            }
         }
     }
     if let Some(entries) = bench_entries {

@@ -38,11 +38,12 @@ pub fn run(scale: Scale) -> Vec<MixRow> {
     })
 }
 
-/// Renders the figure.
-pub fn render(scale: Scale) -> String {
-    let rows = run(scale);
+/// Renders the figure: one panel per input size, in the order [`run`]
+/// returns them.
+pub fn render(rows: &[MixRow]) -> String {
     let mut out = String::from("Fig. 10 — access-type distribution by data volume (MDA codegen)\n");
-    for n in [scale.small_input(), scale.input()] {
+    for panel in rows.chunk_by(|a, b| a.n == b.n) {
+        let n = panel[0].n;
         let mut t = TextTable::new(vec![
             "kernel".into(),
             "row scalar".into(),
@@ -51,7 +52,7 @@ pub fn render(scale: Scale) -> String {
             "col vector".into(),
         ]);
         let mut totals = AccessMix::default();
-        for r in rows.iter().filter(|r| r.n == n) {
+        for r in panel {
             let (rs, rv, cs, cv) = r.mix.fractions();
             t.push_row(vec![
                 r.kernel.clone(),
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_sizes() {
-        let out = render(Scale::Tiny);
+        let out = render(&run(Scale::Tiny));
         assert!(out.contains("32 × 32"));
         assert!(out.contains("64 × 64"));
     }

@@ -51,12 +51,16 @@ fn sample_interval(scale: Scale) -> u64 {
     }
 }
 
-/// Renders the timelines, downsampled to at most `points` rows each.
-pub fn render_with_points(scale: Scale, points: usize) -> String {
+/// Table rows shown per kernel timeline.
+const POINTS: usize = 24;
+
+/// Renders the timelines, downsampled to at most [`POINTS`] table rows
+/// each.
+pub fn render(timelines: &[KernelTimeline]) -> String {
     let mut out = String::from("Fig. 15 — column-line occupancy over time (1P2L)\n");
-    for kt in run(scale) {
+    for kt in timelines {
         let samples = kt.timeline.samples();
-        let stride = (samples.len() / points.max(1)).max(1);
+        let stride = (samples.len() / POINTS).max(1);
         let mut t = TextTable::new(vec![
             "cycle".into(),
             "L1 col%".into(),
@@ -94,11 +98,6 @@ pub fn render_with_points(scale: Scale, points: usize) -> String {
         }
     }
     out
-}
-
-/// Renders with the default resolution.
-pub fn render(scale: Scale) -> String {
-    render_with_points(scale, 24)
 }
 
 #[cfg(test)]

@@ -16,9 +16,110 @@ pub mod fig17;
 pub mod table1;
 
 use crate::parallel::CellResult;
+use crate::scale::Scale;
 use crate::table::{fmt_ratio, TextTable};
 use mda_sim::{simulate, HierarchyKind, SimReport, SystemConfig};
 use mda_workloads::Kernel;
+
+/// One run of an experiment: the text `figures` prints and the CSV files
+/// `figures --csv` writes, both taken from the same results.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rendered {
+    /// The aligned text tables.
+    pub text: String,
+    /// `(file stem, CSV body)` per table-shaped panel; empty for the
+    /// experiments that are not kernel × design tables.
+    pub csvs: Vec<(String, String)>,
+}
+
+impl Rendered {
+    /// Text-only output.
+    fn text(text: String) -> Rendered {
+        Rendered { text, csvs: Vec::new() }
+    }
+
+    /// Figure panels printed one after another, each also emitted as
+    /// `<stem>.csv`.
+    fn panels<S: Into<String>>(panels: impl IntoIterator<Item = (S, FigureTable)>) -> Rendered {
+        let mut texts = Vec::new();
+        let mut csvs = Vec::new();
+        for (stem, fig) in panels {
+            texts.push(fig.render());
+            csvs.push((stem.into(), fig.to_csv()));
+        }
+        Rendered { text: texts.join("\n"), csvs }
+    }
+}
+
+/// A named experiment of the `figures` binary.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The command-line name.
+    pub name: &'static str,
+    /// Runs the experiment once at the given scale.
+    pub run: fn(Scale) -> Rendered,
+}
+
+/// Every experiment, in the order `figures all` runs them.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    Experiment { name: "table1", run: |s| Rendered::text(table1::render(s)) },
+    Experiment { name: "fig10", run: |s| Rendered::text(fig10::render(&fig10::run(s))) },
+    Experiment {
+        name: "fig11",
+        run: |s| {
+            let f = fig11::run(s);
+            Rendered::panels([("fig11_hit_rate", f.hit_rate), ("fig11_fills", f.fills)])
+        },
+    },
+    Experiment {
+        name: "fig12",
+        run: |s| {
+            let points = fig12::run(s).into_iter();
+            Rendered::panels(points.map(|(llc, f)| (format!("fig12_llc_{}k", llc / 1024), f)))
+        },
+    },
+    Experiment { name: "fig13", run: |s| Rendered::panels([("fig13", fig13::run(s))]) },
+    Experiment {
+        name: "fig14",
+        run: |s| {
+            let f = fig14::run(s);
+            Rendered::panels([("fig14_llc_accesses", f.llc_accesses), ("fig14_memory_bytes", f.memory_bytes)])
+        },
+    },
+    Experiment { name: "fig15", run: |s| Rendered::text(fig15::render(&fig15::run(s))) },
+    Experiment { name: "fig16", run: |s| Rendered::panels([("fig16", fig16::run(s))]) },
+    Experiment { name: "fig17", run: |s| Rendered::panels([("fig17", fig17::run(s))]) },
+    Experiment {
+        name: "ablation",
+        run: |s| {
+            Rendered::panels([
+                ("ablation_layout", ablation::layout_mismatch(s)),
+                ("ablation_dense", ablation::dense_fill(s)),
+                ("ablation_subrow", ablation::sub_row_buffers(s)),
+                ("ablation_2p1l", ablation::taxonomy_2p1l(s)),
+            ])
+        },
+    },
+    Experiment { name: "ext_tiling", run: |s| Rendered::panels([("ext_tiling", ext_tiling::run(s))]) },
+    Experiment { name: "ext_multicore", run: |s| Rendered::panels([("ext_multicore", ext_multicore::run(s))]) },
+    Experiment { name: "ext_energy", run: |s| Rendered::panels([("ext_energy", ext_energy::run(s))]) },
+    Experiment {
+        name: "ext_reliability",
+        run: |s| {
+            let f = ext_reliability::run(s);
+            Rendered::panels([
+                ("ext_reliability_cycles", f.cycles),
+                ("ext_reliability_retries", f.retries),
+                ("ext_reliability_corrected", f.corrected),
+            ])
+        },
+    },
+];
+
+/// The experiment called `name`, if there is one.
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
 
 /// The design list shared by the figure experiments and the `sweep`
 /// binary: the prefetching baseline first, then the MDA designs of
@@ -245,6 +346,29 @@ mod tests {
         let csv = f.to_csv();
         assert!(csv.lines().any(|l| l == "b,degraded,degraded"), "csv: {csv}");
         assert!(csv.lines().any(|l| l == "Average,0.250000,degraded"), "csv: {csv}");
+    }
+
+    #[test]
+    fn panels_print_in_order_and_emit_one_csv_each() {
+        let mut a = FigureTable::new("first", vec!["k".into()]);
+        a.push_series("1P2L", vec![0.5]);
+        let mut b = FigureTable::new("second", vec!["k".into()]);
+        b.push_series("2P2L", vec![f64::NAN]);
+        let out = Rendered::panels([("a", a.clone()), ("b", b.clone())]);
+        assert_eq!(out.text, format!("{}\n{}", a.render(), b.render()));
+        assert_eq!(out.csvs, vec![("a".into(), a.to_csv()), ("b".into(), b.to_csv())]);
+    }
+
+    #[test]
+    fn experiment_names_are_unique_and_found() {
+        for e in &EXPERIMENTS {
+            assert_eq!(experiment(e.name).map(|found| found.name), Some(e.name));
+        }
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+        assert!(experiment("fig99").is_none());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! One runner per table and figure of the paper's evaluation (Sec. VI–VIII).
 //! Each experiment module returns structured results (so integration tests
-//! can assert the paper's qualitative claims) and can render itself as an
-//! aligned text table mirroring the paper's series.
+//! can assert the paper's qualitative claims). [`experiments::EXPERIMENTS`]
+//! names every experiment and turns one run of it into aligned text tables
+//! mirroring the paper's series plus the matching CSV files.
 //!
 //! Run everything with the `figures` binary:
 //!
@@ -12,7 +13,7 @@
 //! ```
 //!
 //! Scales:
-//! * `tiny`   — 64×64 inputs, 4/8/16 KB caches (seconds; CI and Criterion)
+//! * `tiny`   — 64×64 inputs, 4/8/16 KB caches (seconds; tests and CI)
 //! * `scaled` — 256×256 inputs, 16/64/256 KB caches (default; the paper's
 //!   working-set-to-capacity ratios at 4× reduction)
 //! * `paper`  — 512×512 inputs against the full Table I machine (slow)

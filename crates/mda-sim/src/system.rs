@@ -4,7 +4,7 @@
 use crate::core::CoreConfig;
 use crate::hierarchy::Hierarchy;
 use mda_cache::{
-    Cache1P1L, Cache1P2L, Cache2P1L, Cache2P2L, CacheConfig, LevelKind, SetMapping,
+    Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, LevelKind, SetMapping,
     StridePrefetcher,
 };
 use mda_compiler::CodegenOptions;
@@ -24,7 +24,8 @@ pub enum HierarchyKind {
     /// Design 2 ablation: dense-fill 2P2L LLC.
     P2L2Dense,
     /// Taxonomy-completion ablation (elided in the paper): 1P1L L1/L2 with
-    /// a physically 2-D but logically 1-D (row-only) NVM LLC.
+    /// a physically 2-D but logically 1-D (row-only) NVM LLC, modelled as
+    /// a sparse 2P2L array that only ever receives row lines.
     P2L1,
 }
 
@@ -53,16 +54,23 @@ impl HierarchyKind {
         }
     }
 
+    /// Whether the design is logically 1-D: 1P1L L1/L2 that only ever
+    /// hold, request and write back row lines. Such a design pairs with
+    /// the baseline code generator and keeps the stride prefetcher, so the
+    /// 2P1L ablation differs from the baseline only in its LLC array.
+    pub fn is_logically_1d(&self) -> bool {
+        matches!(self, HierarchyKind::Baseline1P1L | HierarchyKind::P2L1)
+    }
+
     /// Whether this design runs the MDA code generator (2-D layout, dual
     /// vectorization) or the conventional one. Mirrors the paper's rule:
     /// every experiment pairs each hierarchy with the memory layout
     /// optimized for its logical dimensionality.
     pub fn codegen(&self) -> CodegenOptions {
-        match self {
-            // Logically 1-D hierarchies pair with the 1-D-optimized layout
-            // and row-only vectorization.
-            HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => CodegenOptions::baseline(),
-            _ => CodegenOptions::mda(),
+        if self.is_logically_1d() {
+            CodegenOptions::baseline()
+        } else {
+            CodegenOptions::mda()
         }
     }
 }
@@ -163,7 +171,7 @@ impl SystemConfig {
         }
     }
 
-    /// A minimal system for unit tests and Criterion benches: 64×64 inputs
+    /// A minimal system for tests and CI smoke runs: 64×64 inputs
     /// against 4 KB / 8 KB / 16 KB caches (the paper's working-set ratio at
     /// 64× reduction).
     pub fn tiny(kind: HierarchyKind) -> SystemConfig {
@@ -248,11 +256,10 @@ impl SystemConfig {
             _ => SetMapping::DifferentSet,
         };
         for cfg in &non_llc {
-            levels.push(match self.kind {
-                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
-                    Cache1P1L::new(*cfg).into()
-                }
-                _ => Cache1P2L::new(*cfg, mapping).into(),
+            levels.push(if self.kind.is_logically_1d() {
+                Cache1P1L::new(*cfg).into()
+            } else {
+                Cache1P2L::new(*cfg, mapping).into()
             });
         }
         let mut llc_cfg = llc_cfg;
@@ -262,19 +269,14 @@ impl SystemConfig {
             HierarchyKind::P1L2DifferentSet | HierarchyKind::P1L2SameSet => {
                 Cache1P2L::new(llc_cfg, mapping).into()
             }
-            HierarchyKind::P2L2Sparse => Cache2P2L::new(llc_cfg).into(),
+            // 2P1L needs no cache type of its own: its 1P1L upper levels
+            // send the 2P2L array only row lines.
+            HierarchyKind::P2L2Sparse | HierarchyKind::P2L1 => Cache2P2L::new(llc_cfg).into(),
             HierarchyKind::P2L2Dense => Cache2P2L::with_fill_policy(llc_cfg, false).into(),
-            HierarchyKind::P2L1 => Cache2P1L::new(llc_cfg).into(),
         });
 
-        let prefetcher = match self.kind {
-            // Logically 1-D hierarchies keep the baseline's prefetcher so
-            // the 2P1L ablation isolates the physical-array change.
-            HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
-                Some(StridePrefetcher::new(self.prefetch_degree))
-            }
-            _ => None,
-        };
+        let prefetcher =
+            self.kind.is_logically_1d().then(|| StridePrefetcher::new(self.prefetch_degree));
         Hierarchy::new(levels, prefetcher, MainMemory::new(self.mem))
     }
 }

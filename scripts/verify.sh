@@ -3,22 +3,26 @@
 #
 # Usage: scripts/verify.sh
 #
-# Steps:
+# Steps, in order:
 #   1. release build of the whole workspace
-#   2. full test suite (unit + integration + property tests)
-#   3. `figures all --scale tiny --jobs 2` smoke run, asserting the
+#   2. the root package's test suite (unit + integration + property tests)
+#   3. the member crates' tests, except mda-bench's slow experiment tests
+#      (this runs the property suites, including the Cache2P2L coherence
+#      debug-assert hooks exercised by mda-cache's policy_props)
+#   4. clippy (warnings + perf lints) across the whole workspace
+#   5. mda-lint: the workspace must be free of hot-path allocations,
+#      library panics, nondeterministic report iteration, and stray clocks
+#   6. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#      plus the model-vs-real differential at dim 2 (the depth-3 default)
+#   7. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
-#   4. reliability smoke run: the seeded fault-injection sweep must be
+#   8. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#   5. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#   9. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#   6. clippy (warnings + perf lints) across the whole workspace
-#   7. mda-lint: the workspace must be free of hot-path allocations,
-#      library panics, nondeterministic report iteration, and stray clocks
-#   8. mda-check: exhaustive dim-3 model check of the duplicate-word policy
-#      plus the model-vs-real differential at dim 2 (the depth-3 default)
-#   9. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
+#  10. a malformed MDA_JOBS must produce a warning, not be silently ignored
+#  11. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +31,9 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== member-crate tests (mda-bench's experiment tests excluded: too slow) =="
+cargo test -q --workspace --exclude mdacache --exclude mda-bench
 
 echo "== lint: clippy (warnings + perf) on the whole workspace =="
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf

@@ -6,6 +6,7 @@ use mdacache::cache::level::{CacheLevel, CacheLevelExt};
 use mdacache::sim::{HierarchyKind, SystemConfig};
 use mdacache::workloads::Kernel;
 use mdacache::compiler::TraceOp;
+use mdacache::mem::Orientation;
 
 #[test]
 fn draining_the_hierarchy_flushes_all_dirty_data() {
@@ -65,5 +66,47 @@ fn written_words_reach_memory_in_volume() {
             "{kind}: memory saw {written_bytes} B but the program wrote {} distinct words",
             distinct_written.len()
         );
+    }
+}
+
+#[test]
+fn the_2p1l_llc_only_ever_holds_row_lines() {
+    // 2P1L is a 2P2L array behind 1P1L L1/L2. It needs no cache type of its
+    // own because the upper levels only request and write back row lines,
+    // so the 2-D array never allocates a column line or serves a hit
+    // through one. Check the LLC's contents throughout each run, not just
+    // at the end, so a column line that came and went is caught too.
+    let cfg = SystemConfig::tiny(HierarchyKind::P2L1);
+    let llc_lines = |hierarchy: &mdacache::sim::Hierarchy| {
+        let mut cols = 0usize;
+        let mut rows = 0usize;
+        let llc = hierarchy.levels().last().expect("llc");
+        llc.for_each_line(&mut |line, _| match line.orient {
+            Orientation::Row => rows += 1,
+            Orientation::Col => cols += 1,
+        });
+        (rows, cols)
+    };
+    for kernel in Kernel::all() {
+        let src = kernel.build(cfg.default_input);
+        let mut hierarchy = cfg.build_hierarchy();
+        let mut core = mdacache::sim::Core::new(cfg.core);
+        let mut ops = 0u64;
+        let mut peak_rows = 0;
+        src.generate(&cfg.codegen, &mut |op| {
+            hierarchy.step(&mut core, &op);
+            ops += 1;
+            if ops.is_multiple_of(1024) {
+                let (rows, cols) = llc_lines(&hierarchy);
+                assert_eq!(cols, 0, "{}: column line in the 2P1L LLC after {ops} ops", kernel.name());
+                peak_rows = peak_rows.max(rows);
+            }
+        });
+        let (rows, cols) = llc_lines(&hierarchy);
+        assert_eq!(cols, 0, "{}: column line in the 2P1L LLC at the end", kernel.name());
+        assert!(peak_rows.max(rows) > 0, "{}: the LLC never held a line", kernel.name());
+        let stats = hierarchy.levels().last().expect("llc").stats();
+        assert_eq!(stats.misoriented_hits, 0, "{}: mis-oriented LLC hit", kernel.name());
+        assert_eq!(stats.col_scalar + stats.col_vector, 0, "{}: column access at the LLC", kernel.name());
     }
 }
