@@ -25,10 +25,13 @@
 //! sweep intact.
 //!
 //! Every point × design cell runs on the worker pool (`--jobs N`, or the
-//! `MDA_JOBS` environment variable; defaults to the machine's cores).
+//! `MDA_JOBS` environment variable; defaults to the machine's cores). Cells
+//! are labelled `{point}/{design}` (e.g. `llc=8KB/2P2L`), the label that
+//! warnings name and the `MDA_PANIC_CELL` drill matches.
 
-use mda_bench::experiments::{ext_reliability, run_kernel};
-use mda_bench::{parallel, Scale};
+use mda_bench::experiments::ext_reliability;
+use mda_bench::parallel::{self, Cell};
+use mda_bench::Scale;
 use mda_sim::{FaultConfig, HierarchyKind, SystemConfig};
 use mda_workloads::Kernel;
 
@@ -218,19 +221,19 @@ fn main() {
     // to the sequential sweep. A twice-panicking cell degrades to an `Err`
     // instead of killing the sweep.
     let n = scale.input();
-    let all_cells: Vec<(String, SystemConfig)> = pts
+    let cells: Vec<Cell> = pts
         .iter()
         .flat_map(|p| {
-            p.cfgs.iter().map(|(name, cfg)| (format!("{}/{name}", p.label), cfg.clone()))
+            p.cfgs
+                .iter()
+                .map(|(name, cfg)| Cell::new(format!("{}/{name}", p.label), kernel, n, cfg.clone()))
         })
         .collect();
-    let cycles = parallel::par_try_map(&all_cells, |(_, cfg)| run_kernel(kernel, n, cfg).cycles);
-    for ((label, _), outcome) in all_cells.iter().zip(&cycles) {
-        if let Err(msg) = outcome {
-            eprintln!("warning: cell '{label}' degraded: {msg}");
-        }
+    let outcomes = parallel::run_cells(&cells);
+    for failure in outcomes.iter().filter_map(|r| r.as_ref().err()) {
+        eprintln!("warning: {failure}");
     }
-    let mut cell = cycles.into_iter();
+    let mut cell = outcomes.into_iter().map(|r| r.map(|report| report.cycles));
 
     println!("sweep of {param} — {kernel} at {scale} scale, cycles normalized to each point's 1P1L\n");
     print!("{:>16}", "");

@@ -5,18 +5,18 @@
 //! harness scales with cores. This module provides the fan-out layer the
 //! experiments submit their cells through:
 //!
-//! * [`par_map`]/[`par_try_map`] — run a closure over a slice on a scoped
-//!   worker pool (plain `std::thread::scope`; no external crates) and
-//!   reassemble the results **in input order**, so every table and CSV
-//!   downstream is byte-identical to a sequential run. Each cell runs
-//!   under `catch_unwind`: a panicking cell is retried once, and a cell
-//!   that fails twice becomes an `Err` (the `try` variants) or aborts the
-//!   map (`par_map`, preserving its infallible contract) — it never
-//!   poisons the pool or takes the other cells down with it.
+//! * [`par_map`] — run a closure over a slice on a scoped worker pool
+//!   (plain `std::thread::scope`; no external crates) and reassemble the
+//!   results **in input order**, so every table and CSV downstream is
+//!   byte-identical to a sequential run. Each cell runs under
+//!   `catch_unwind`: a panicking cell is retried once, and a cell that
+//!   fails twice aborts the map (preserving its infallible contract) — it
+//!   never poisons the pool.
 //! * [`Cell`]/[`run_cells`] — the labeled `(kernel, input, system)` unit
-//!   the figure experiments fan out. `run_cells` reports failures as
-//!   labeled [`CellFailure`]s so experiments render them as degraded
-//!   cells instead of crashing.
+//!   the figure experiments and the `sweep` binary fan out. `run_cells`
+//!   reports a cell that fails twice as a labeled [`CellFailure`], so
+//!   callers render it as a degraded cell while the other cells' results
+//!   survive.
 //! * [`jobs`]/[`set_jobs`] — worker-count resolution: an explicit
 //!   [`set_jobs`] override (the `--jobs` CLI flag) beats the `MDA_JOBS`
 //!   environment variable, which beats
@@ -92,7 +92,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Panics
 /// Panics if a cell panics twice in a row (once plus the automatic retry);
-/// use [`par_try_map`] to handle failures gracefully.
+/// use [`run_cells`] to handle failures gracefully.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -122,7 +122,7 @@ where
 /// Fallible variant of [`par_map`] on [`jobs`] workers: each cell's panic
 /// is isolated, retried once, and surfaced as `Err(message)` if it fails
 /// again.
-pub fn par_try_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
+fn par_try_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -143,7 +143,7 @@ where
 /// retried once (transient failures — e.g. resource exhaustion — recover),
 /// and a cell that panics twice resolves to `Err` with the panic message
 /// while every other cell's result is preserved.
-pub fn par_try_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
+fn par_try_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,

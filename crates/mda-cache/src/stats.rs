@@ -57,11 +57,6 @@ impl CacheStats {
         }
     }
 
-    /// Total bytes exchanged with the level below.
-    pub fn traffic_below(&self) -> u64 {
-        self.bytes_from_below + self.bytes_to_below
-    }
-
     /// Classifies and counts one demand access.
     pub fn note_access(&mut self, acc: &Access, hit: bool) {
         self.accesses += 1;

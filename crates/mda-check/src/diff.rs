@@ -16,7 +16,7 @@
 use crate::model::{Model1P2L, Mutation, MODEL_TILE};
 use crate::model2p2l::Model2P2L;
 use crate::ops::{apply_1p2l, apply_2p2l, ModelStep, Op};
-use crate::sequences::{diff_alphabet, for_each_sequence, sequence_count};
+use crate::sequences::{diff_alphabet, for_each_sequence};
 use mda_cache::{
     Access, CacheConfig, CacheLevel, CacheStats, InlineVec, Probe, SetMapping, Writeback,
     Cache1P2L, Cache2P2L,
@@ -374,11 +374,6 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
         );
     }
     DiffReport { sequences, steps, mismatch }
-}
-
-/// Expected sequence total for progress reporting.
-pub fn expected_sequences(cfg: &DiffConfig) -> usize {
-    sequence_count(diff_alphabet(cfg.sub).len(), cfg.depth, cfg.random) * targets().len()
 }
 
 /// A [`CacheLevel`] test double that silently drops one word offset from

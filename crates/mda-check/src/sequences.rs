@@ -95,20 +95,20 @@ pub fn for_each_sequence(
     }
 }
 
-/// Number of sequences [`for_each_sequence`] visits (for reporting).
-pub fn sequence_count(alphabet_len: usize, depth: usize, random: usize) -> usize {
-    let mut total = 0usize;
-    let mut pow = 1usize;
-    for _ in 0..depth {
-        pow = pow.saturating_mul(alphabet_len);
-        total = total.saturating_add(pow);
-    }
-    total.saturating_add(random)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of sequences [`for_each_sequence`] visits.
+    fn sequence_count(alphabet_len: usize, depth: usize, random: usize) -> usize {
+        let mut total = 0usize;
+        let mut pow = 1usize;
+        for _ in 0..depth {
+            pow = pow.saturating_mul(alphabet_len);
+            total = total.saturating_add(pow);
+        }
+        total.saturating_add(random)
+    }
 
     #[test]
     fn exhaustive_enumeration_counts_match() {

@@ -4,9 +4,9 @@
 //! column buffer (paper Fig. 2(b)/Fig. 3). A row-mode access hits when the
 //! physical array row it needs is the one latched in the row buffer;
 //! likewise for column-mode accesses and the column buffer. The two buffers
-//! are independent (they latch bit-sliced data, see [`crate::crosspoint`]),
-//! but the bank's sense/drive circuitry is shared, so all operations
-//! serialize on the bank's `free_at` reservation.
+//! are independent (they latch bit-sliced data, paper Figs. 5–6), but the
+//! bank's sense/drive circuitry is shared, so all operations serialize on
+//! the bank's `free_at` reservation.
 
 use crate::addr::{LineKey, Orientation};
 use crate::timing::MemTiming;

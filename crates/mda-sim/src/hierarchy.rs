@@ -48,42 +48,15 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds a single-core hierarchy from L1-to-LLC `levels`, an optional
-    /// baseline prefetcher, and the main memory.
-    ///
-    /// # Panics
-    /// Panics if no levels are supplied.
-    pub fn new(
-        levels: Vec<LevelKind>,
-        prefetcher: Option<StridePrefetcher>,
-        mem: MainMemory,
-    ) -> Hierarchy {
-        assert!(!levels.is_empty(), "hierarchy needs at least one cache level");
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let mshrs = levels.iter().map(|l| Mshr::new(l.config().mshrs)).collect();
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let path = (0..levels.len()).collect();
-        let probes = vec![Probe::hit(); levels.len()];
-        Hierarchy {
-            levels,
-            mshrs,
-            paths: vec![path],
-            prefetchers: vec![prefetcher],
-            mem,
-            // mda-lint: allow(hot-path-alloc): empty pool; demand-path buffers are recycled
-            scratch: Vec::new(),
-            probes,
-        }
-    }
-
-    /// Builds a multi-programmed hierarchy: each core gets the private
-    /// levels in `private_per_core[i]` (L1 first) and all cores share
-    /// `shared_llc`. `prefetchers[i]` trains on core `i`'s L1 traffic.
+    /// Builds a hierarchy: each core gets the private levels in
+    /// `private_per_core[i]` (L1 first, possibly none) and all cores share
+    /// `shared_llc`. `prefetchers[i]` trains on core `i`'s L1 traffic. A
+    /// single-core hierarchy is the one-core case.
     ///
     /// # Panics
     /// Panics if no cores are given or the prefetcher list length does not
     /// match the core count.
-    pub fn multicore(
+    pub fn new(
         private_per_core: Vec<Vec<LevelKind>>,
         shared_llc: LevelKind,
         prefetchers: Vec<Option<StridePrefetcher>>,
@@ -150,9 +123,8 @@ impl Hierarchy {
         &self.mem
     }
 
-    /// Decomposes a single-core hierarchy back into its level pool (used
-    /// by the multi-programmed builder to reuse the per-design level
-    /// construction).
+    /// Decomposes the hierarchy into its level pool (same order as
+    /// [`Hierarchy::levels`]).
     pub fn into_levels(self) -> Vec<LevelKind> {
         self.levels
     }
@@ -440,7 +412,8 @@ mod tests {
         let mut l2cfg = CacheConfig::l2_256k();
         l2cfg.size_bytes = 16 * 1024;
         let l2 = Cache1P2L::new(l2cfg, SetMapping::DifferentSet);
-        Hierarchy::new(vec![l1.into(), l2.into()], None, MainMemory::new(MemConfig::paper()))
+        let mem = MainMemory::new(MemConfig::paper());
+        Hierarchy::new(vec![vec![l1.into()]], l2.into(), vec![None], mem)
     }
 
     fn op(word: WordAddr, orient: Orientation, vector: bool, write: bool) -> MemOp {
@@ -517,8 +490,9 @@ mod tests {
         l2cfg.size_bytes = 16 * 1024;
         let l2 = Cache1P1L::new(l2cfg);
         let mut h = Hierarchy::new(
-            vec![l1.into(), l2.into()],
-            Some(StridePrefetcher::new(4)),
+            vec![vec![l1.into()]],
+            l2.into(),
+            vec![Some(StridePrefetcher::new(4))],
             MainMemory::new(MemConfig::paper()),
         );
         let mut now = 0;
@@ -541,8 +515,12 @@ mod tests {
         let mut llc_cfg = CacheConfig::l3(16 * 1024);
         llc_cfg.assoc = 8;
         let llc = Cache2P2L::new(llc_cfg);
-        let mut h =
-            Hierarchy::new(vec![l1.into(), llc.into()], None, MainMemory::new(MemConfig::paper()));
+        let mut h = Hierarchy::new(
+            vec![vec![l1.into()]],
+            llc.into(),
+            vec![None],
+            MainMemory::new(MemConfig::paper()),
+        );
         let line = LineKey::new(0, Orientation::Col, 3);
         let w = op(line.word_at(0), Orientation::Col, true, true);
         h.demand(&MemOp { vector: true, ..w }, 0);
@@ -576,7 +554,7 @@ mod tests {
         let mut llc_cfg = CacheConfig::l3(16 * 1024);
         llc_cfg.assoc = 8;
         let llc = Cache1P2L::new(llc_cfg, SetMapping::DifferentSet);
-        Hierarchy::multicore(
+        Hierarchy::new(
             privates,
             llc.into(),
             vec![None, None],

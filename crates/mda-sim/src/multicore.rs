@@ -10,13 +10,11 @@
 //! memory banks and the write queues emerges naturally.
 
 use crate::core::Core;
-use crate::hierarchy::Hierarchy;
-use crate::report::SimReport;
 use crate::system::SystemConfig;
-use mda_cache::{CacheLevel, LevelKind, StridePrefetcher};
+use mda_cache::CacheLevel;
 use mda_compiler::tracefile::RecordedTrace;
 use mda_compiler::trace::{OpCounts, TraceOp, TraceSource};
-use mda_mem::{Cycle, MainMemory, WordAddr};
+use mda_mem::{Cycle, WordAddr};
 
 /// Byte stride between the cores' address spaces (tile-aligned; large
 /// enough that no two workloads' footprints can overlap).
@@ -44,39 +42,6 @@ impl MulticoreReport {
     }
 }
 
-impl SystemConfig {
-    /// Builds a multi-programmed hierarchy: `cores` copies of this
-    /// configuration's private levels in front of one shared LLC.
-    ///
-    /// # Panics
-    /// Panics if the configuration is two-level (a shared LLC requires the
-    /// three-level preset) or `cores` is zero.
-    pub fn build_multicore_hierarchy(&self, cores: usize) -> Hierarchy {
-        assert!(cores > 0, "need at least one core");
-        assert!(self.l3.is_some(), "multi-programmed systems need a dedicated shared LLC");
-        let mut privates: Vec<Vec<LevelKind>> = Vec::with_capacity(cores);
-        let mut prefetchers: Vec<Option<StridePrefetcher>> = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            // Reuse the single-core builder, then split off its private
-            // levels (everything above the LLC).
-            let single = self.build_hierarchy();
-            let mut levels = single.into_levels();
-            // mda-lint: allow(lib-unwrap): structural invariant; build_hierarchy always yields L1+L2+LLC
-            let _llc = levels.pop().expect("three-level hierarchy");
-            privates.push(levels);
-            prefetchers.push(
-                self.kind.is_logically_1d().then(|| StridePrefetcher::new(self.prefetch_degree)),
-            );
-        }
-        let shared_llc = {
-            let single = self.build_hierarchy();
-            // mda-lint: allow(lib-unwrap): structural invariant; build_hierarchy always yields L1+L2+LLC
-            single.into_levels().pop().expect("three-level hierarchy")
-        };
-        Hierarchy::multicore(privates, shared_llc, prefetchers, MainMemory::new(self.mem))
-    }
-}
-
 /// Simulates `sources` running concurrently, one per core, on `cfg`'s
 /// design point. Each core gets a disjoint tile-aligned address window.
 ///
@@ -84,6 +49,7 @@ impl SystemConfig {
 /// Panics if `sources` is empty or the configuration is two-level.
 pub fn simulate_multicore(sources: &[&dyn TraceSource], cfg: &SystemConfig) -> MulticoreReport {
     assert!(!sources.is_empty(), "need at least one workload");
+    assert!(cfg.l3.is_some(), "multi-programmed systems need a dedicated shared LLC");
     let traces: Vec<RecordedTrace> =
         sources.iter().map(|s| RecordedTrace::capture(*s, &cfg.codegen)).collect();
 
@@ -142,23 +108,6 @@ fn offset_op(op: TraceOp, base: u64) -> TraceOp {
             TraceOp::Mem(mda_compiler::MemOp { word: WordAddr(m.word.0 + base), ..m })
         }
     }
-}
-
-/// Builds per-core `SimReport`-like summaries for display (each core's
-/// private view plus the shared memory).
-pub fn per_core_reports(r: &MulticoreReport, design: &str) -> Vec<SimReport> {
-    r.per_core
-        .iter()
-        .map(|(name, cycles, ops)| SimReport {
-            workload: name.clone(),
-            design: design.to_string(),
-            cycles: *cycles,
-            levels: r.levels.clone(),
-            mem: r.mem,
-            ops: *ops,
-            occupancy: crate::occupancy::OccupancyTimeline::new(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -223,6 +172,36 @@ mod tests {
         let r1 = simulate_multicore(&[&a, &b], &cfg);
         let r2 = simulate_multicore(&[&a, &b], &cfg);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn one_core_matches_the_single_core_simulation() {
+        // Row reads, column reads and row writes, so every design fills
+        // both orientations and writes back.
+        let n = 48;
+        let mut p = Program::new("mixed");
+        let a = p.array("A", n as u64, n as u64);
+        let b = p.array("B", n as u64, n as u64);
+        let c = p.array("C", n as u64, n as u64);
+        let (i, j) = (AffineExpr::var(0), AffineExpr::var(1));
+        p.add_nest(LoopNest {
+            loops: vec![Loop::constant(0, n), Loop::constant(0, n)],
+            refs: vec![
+                ArrayRef::read(a, i.clone(), j.clone()),
+                ArrayRef::read(b, j.clone(), i.clone()),
+                ArrayRef::write(c, i, j),
+            ],
+            flops_per_iter: 2,
+        });
+        for kind in crate::HierarchyKind::all() {
+            let cfg = SystemConfig::tiny(kind);
+            let single = crate::simulate(&p, &cfg);
+            let multi = simulate_multicore(&[&p], &cfg);
+            assert_eq!(multi.per_core[0].1, single.cycles, "{kind}: cycles");
+            assert_eq!(multi.per_core[0].2, single.ops, "{kind}: op counts");
+            assert_eq!(multi.levels, single.levels, "{kind}: level stats");
+            assert_eq!(multi.mem, single.mem, "{kind}: memory stats");
+        }
     }
 
     #[test]

@@ -233,38 +233,52 @@ impl SystemConfig {
         2 + usize::from(self.l3.is_some())
     }
 
-    /// Builds the hierarchy this configuration describes.
+    /// Builds the single-core hierarchy this configuration describes: the
+    /// one-core case of [`SystemConfig::build_multicore_hierarchy`].
     ///
     /// # Panics
     /// Panics if [`SystemConfig::validate`] rejects the configuration;
     /// validate explicitly first to handle the error gracefully.
     pub fn build_hierarchy(&self) -> Hierarchy {
+        self.build_multicore_hierarchy(1)
+    }
+
+    /// Builds a hierarchy for `cores` cores: each core gets its own copy of
+    /// the levels above the LLC, and all cores share one LLC (the L3, or
+    /// the L2 of a two-level system) and one main memory.
+    ///
+    /// # Panics
+    /// Panics if `cores` is zero or [`SystemConfig::validate`] rejects the
+    /// configuration.
+    pub fn build_multicore_hierarchy(&self, cores: usize) -> Hierarchy {
         if let Err(e) = self.validate() {
             // mda-lint: allow(lib-unwrap): documented `# Panics` contract rejecting invalid configs
             panic!("invalid SystemConfig: {e}");
         }
-        let mut non_llc = vec![self.l1, self.l2];
-        let llc_cfg = match self.l3 {
-            Some(l3) => l3,
-            // mda-lint: allow(lib-unwrap): structural invariant; validate() requires at least two levels
-            None => non_llc.pop().expect("two-level system keeps L1"),
+        let (privates, mut llc_cfg) = match self.l3 {
+            Some(l3) => (&[self.l1, self.l2][..], l3),
+            None => (&[self.l1][..], self.l2),
         };
-
-        let mut levels: Vec<LevelKind> = Vec::new();
         let mapping = match self.kind {
             HierarchyKind::P1L2SameSet => SetMapping::SameSet,
             _ => SetMapping::DifferentSet,
         };
-        for cfg in &non_llc {
-            levels.push(if self.kind.is_logically_1d() {
+        let private_level = |cfg: &CacheConfig| -> LevelKind {
+            if self.kind.is_logically_1d() {
                 Cache1P1L::new(*cfg).into()
             } else {
                 Cache1P2L::new(*cfg, mapping).into()
-            });
-        }
-        let mut llc_cfg = llc_cfg;
+            }
+        };
+        let private_per_core = (0..cores)
+            .map(|_| privates.iter().map(&private_level).collect())
+            .collect();
+        let prefetcher = || {
+            self.kind.is_logically_1d().then(|| StridePrefetcher::new(self.prefetch_degree))
+        };
+        let prefetchers = (0..cores).map(|_| prefetcher()).collect();
         llc_cfg.write_penalty = self.llc_write_penalty;
-        levels.push(match self.kind {
+        let llc = match self.kind {
             HierarchyKind::Baseline1P1L => Cache1P1L::new(llc_cfg).into(),
             HierarchyKind::P1L2DifferentSet | HierarchyKind::P1L2SameSet => {
                 Cache1P2L::new(llc_cfg, mapping).into()
@@ -273,11 +287,8 @@ impl SystemConfig {
             // send the 2P2L array only row lines.
             HierarchyKind::P2L2Sparse | HierarchyKind::P2L1 => Cache2P2L::new(llc_cfg).into(),
             HierarchyKind::P2L2Dense => Cache2P2L::with_fill_policy(llc_cfg, false).into(),
-        });
-
-        let prefetcher =
-            self.kind.is_logically_1d().then(|| StridePrefetcher::new(self.prefetch_degree));
-        Hierarchy::new(levels, prefetcher, MainMemory::new(self.mem))
+        };
+        Hierarchy::new(private_per_core, llc, prefetchers, MainMemory::new(self.mem))
     }
 }
 

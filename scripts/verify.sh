@@ -21,8 +21,9 @@
 #   9. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#  10. a malformed MDA_JOBS must produce a warning, not be silently ignored
-#  11. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
+#  10. the same drill on `sweep`: exactly one cell degrades and every other
+#      cell of the sweep stays numeric
+#  11. a malformed MDA_JOBS must produce a warning, not be silently ignored
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,26 +79,25 @@ grep -q "retrying once" "$TMP/panic_err.txt"
 grep -vE "degraded|Average" "$TMP/panic_out.txt" | grep -qE "0\.[0-9]"
 echo "panicking cell isolated; neighbors intact; exit code 0"
 
+echo "== smoke: deliberate panic degrades one sweep cell, not the sweep =="
+MDA_PANIC_CELL=llc=8KB/2P2L "$SWEEP" llc --scale tiny --jobs 2 \
+    >"$TMP/sweep_panic_out.txt" 2>"$TMP/sweep_panic_err.txt"
+grep -q "cell 'llc=8KB/2P2L' degraded" "$TMP/sweep_panic_err.txt"
+python3 - "$TMP/sweep_panic_out.txt" <<'EOF'
+import re, sys
+rows = [l.split() for l in open(sys.argv[1]) if l.strip().startswith("llc=")]
+cells = [c for r in rows for c in r[1:]]
+assert len(rows) == 5, rows
+assert cells.count("degraded") == 1, cells
+assert all(re.fullmatch(r"[0-9]+(\.[0-9]+)?", c) for c in cells if c != "degraded"), cells
+print(f"one of {len(cells)} sweep cells degraded; the rest numeric")
+EOF
+
 echo "== smoke: malformed MDA_JOBS warns instead of being ignored =="
 # fig13, not table1: the warning fires when the worker pool is consulted,
 # and table1 runs no simulation cells.
 MDA_JOBS=banana "$FIGURES" fig13 --scale tiny >/dev/null 2>"$TMP/jobs_err.txt"
 grep -q "ignoring MDA_JOBS" "$TMP/jobs_err.txt"
 echo "malformed MDA_JOBS produces a warning"
-
-echo "== smoke: --bench-sim writes a well-formed BENCH_sim.json =="
-# Single tiny-scale rep in a scratch dir so the committed BENCH_sim.json
-# (full scaled run) is left alone.
-(cd "$TMP" && "$OLDPWD/$FIGURES" --bench-sim --smoke >/dev/null 2>&1)
-test -s "$TMP/BENCH_sim.json"
-python3 - "$TMP/BENCH_sim.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-cells = d["cells"]
-assert cells, "no cells"
-for c in cells:
-    assert c["accesses_per_sec"] > 0 and c["seconds"] > 0 and c["mem_ops"] > 0, c
-print(f"BENCH_sim.json well-formed ({len(cells)} cells)")
-EOF
 
 echo "verify: OK"

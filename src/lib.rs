@@ -5,7 +5,7 @@
 //! depend on a single crate:
 //!
 //! * [`mem`] — the MDA crosspoint main-memory model (row **and** column
-//!   buffers, bit-sliced mats, FRFCFS-WQF-style controller).
+//!   buffers, FRFCFS-WQF-style controller).
 //! * [`cache`] — the MDA cache taxonomy: `1P1L`, `1P2L`
 //!   (Different-Set / Same-Set), `2P2L` sparse/dense, with the duplicate-word
 //!   policy, 2-D MSHRs and the baseline stride prefetcher.
